@@ -176,12 +176,7 @@ def _lp_relaxation_value(base):
 def _solve_cell(spec, tree, seed, K, kind, base):
     opts = MipOptions(time_limit=spec.time_limit)
     if kind == F.ST:
-        solve = None
-        if os.environ.get(SOLVER_ENV):
-            from .solver import external_solve
-
-            solve = external_solve
-        mip = F.cut_loop_st(tree, K, base, mode="mip", solve=solve)
+        mip = F.cut_loop_st(tree, K, base, mode="mip")
         _, relax, _ = _build_cell_model(spec, tree, seed, K, kind)
         lp = F.cut_loop_st(tree, K, relax, mode="lp")
         return "optimal", mip.value, lp.value, mip.rounds

@@ -4,24 +4,28 @@ All builders emit rows over a shared block of binary strategic variables
 tagged "x:{node}" (or "x:{node}:{coord}" for vector stages).  The complete
 plan family (CP, CP+) adds plan and revision variables; the subtree family
 (ST cuts, STDP, CP++) adds continuous inconsistency variables Delta(v,h).
-`add_revision_rows` grafts any of them onto an existing model that tags
-its strategic block, which is how base problems get their revision
-constraint attached.
+Every kind is one entry of a {kind: rows_fn} table.  `add_revision_rows`
+checks the block's dimension once and grafts the kind's rows onto any model
+that tags its strategic block, which is how base problems get their
+revision constraint attached; `build` is a fresh strategic block plus
+`add_revision_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .model import BINARY, CONTINUOUS, INF, MAX, ModelIR
 from .revision import (
     ElbeSubtree,
     PolicyError,
+    _path_between,
     enumerate_elbe_subtrees,
     max_inconsistency,
     separate_binary_fast,
 )
-from .tree import ScenarioTree, join
+from .tree import ScenarioTree
 
 CP = "cp"
 CP_PLUS = "cp+"
@@ -29,8 +33,6 @@ CP_PLUS_PLUS = "cp++"
 ST = "st"
 STDP = "stdp"
 PATH = "path"
-
-FORMULATION_KINDS = (CP, CP_PLUS, CP_PLUS_PLUS, ST, STDP, PATH)
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,13 @@ def x_name(v, coord=None):
 
 def add_strategic_block(model: ModelIR, tree: ScenarioTree):
     """Binary x variables per node (and coordinate), tagged for later reuse."""
-    xv = {}
     for v in range(tree.node_count):
         coords = range(tree.strategic_dim[tree.stage[v]])
         multi = tree.strategic_dim[tree.stage[v]] > 1
         for i in coords:
             coord = i if multi else None
             tag = f"x:{v}" if coord is None else f"x:{v}:{coord}"
-            xv[(v, i)] = model.add_var(x_name(v, coord), BINARY, tag=tag)
-    return xv
+            model.add_var(x_name(v, coord), BINARY, tag=tag)
 
 
 def strategic_block_of(model: ModelIR, tree: ScenarioTree):
@@ -130,8 +130,8 @@ def _nearest_kept_ancestor(tree, only):
     return pabar
 
 
-def add_cp_rows(model: ModelIR, tree: ScenarioTree, K: int, xblock, coord_lists, reduced: bool,
-                prefix=""):
+def add_cp_rows(model: ModelIR, tree: ScenarioTree, K: int, xblock, coord_lists, prefix="",
+                reduced=False):
     """CP (reduced=False) or CP+ (reduced=True) rows on top of an x block.
 
     In the reduced variant, only-child nodes carry no plan or revision
@@ -242,8 +242,9 @@ def facet_inequality_of(tree: ScenarioTree, K: int, oriented: ElbeSubtree,
     return Cut(name or f"cpfacet:h={h}:root={oriented.root}", tuple(terms), "<=", rhs)
 
 
-def all_subtree_cuts(tree: ScenarioTree, K: int, orientation_cap=200000):
+def all_subtree_cuts(tree: ScenarioTree, K: int):
     """Every oriented height-(K+1) subtree constraint (small trees only)."""
+    orientation_cap = 200000
     count = 0
     for sub in enumerate_elbe_subtrees(tree, K + 1):
         for oriented in _orientations(sub):
@@ -293,7 +294,7 @@ def _same_stage_join_pairs(tree: ScenarioTree, v: int):
                         yield p, q
 
 
-def add_stdp_rows(model: ModelIR, tree: ScenarioTree, K: int, xv, prefix=""):
+def add_stdp_rows(model: ModelIR, tree: ScenarioTree, K: int, xblock, coord_lists, prefix=""):
     """STDP rows: Delta(v,h) variables, DP recurrences, and the root budget.
 
     Delta(v, h-1) terms vanish (value 0) when h = 1; pair rows are emitted
@@ -322,17 +323,18 @@ def add_stdp_rows(model: ModelIR, tree: ScenarioTree, K: int, xv, prefix=""):
                     base = [(delta[(v, h)], 1.0)]
                     if g > 0:
                         base += [(delta[(p, g)], -1.0), (delta[(q, g)], -1.0)]
+                    xp, xq = xblock[p][None], xblock[q][None]
                     seq += 1
                     model.add_constraint(
                         f"{prefix}stdp:pair:{v}:{h}:{seq}",
-                        base + [(xv[p], -1.0), (xv[q], 1.0)],
+                        base + [(xp, -1.0), (xq, 1.0)],
                         ">=",
                         0.0,
                     )
                     seq += 1
                     model.add_constraint(
                         f"{prefix}stdp:pair:{v}:{h}:{seq}",
-                        base + [(xv[p], 1.0), (xv[q], -1.0)],
+                        base + [(xp, 1.0), (xq, -1.0)],
                         ">=",
                         0.0,
                     )
@@ -365,157 +367,87 @@ def add_facet_rows(model: ModelIR, tree: ScenarioTree, K: int, r, delta, skip, p
             )
 
 
-def add_path_rows(model: ModelIR, tree: ScenarioTree, K: int, xv, prefix=""):
+def add_path_rows(model: ModelIR, tree: ScenarioTree, K: int, xblock, coord_lists, prefix=""):
     """Path formulation over (x, r): revisions separate unequal same-stage pairs."""
     r = {}
     for v in range(1, tree.node_count):
         r[v] = model.add_var(f"{prefix}r_{v}", BINARY, tag=f"{prefix}r:{v}")
     for t in range(2, tree.T + 1):
         same = tree.nodes_at_stage(t)
-        for i in range(len(same)):
-            for j in range(len(same)):
-                if i == j:
+        for mu in same:
+            for nu in same:
+                if mu == nu:
                     continue
-                mu, nu = same[i], same[j]
-                w = join(tree, mu, nu)
-                terms = []
-                for end in (mu, nu):
-                    d = end
-                    while d != w:
-                        terms.append((r[d], 1.0))
-                        d = tree.parent[d]
-                terms += [(xv[mu], -1.0), (xv[nu], 1.0)]
+                terms = [(r[d], 1.0) for d in _path_between(tree, mu, nu)]
+                terms += [(xblock[mu][None], -1.0), (xblock[nu][None], 1.0)]
                 model.add_constraint(f"{prefix}path:{mu}:{nu}", terms, ">=", 0.0)
     for sc in tree.scenarios():
         terms = [(r[v], 1.0) for v in sc.path if v != 0]
         model.add_constraint(f"{prefix}budget:{sc.leaf}", terms, "<=", float(K))
-    return r
 
 
-# -- whole-fragment builders -----------------------------------------------------
+# -- one table of formulations ---------------------------------------------------
 
 
-def _dim1_xv(tree, xblock):
-    return {v: xblock[v][None] for v in range(tree.node_count)}
-
-
-def _require_dim1(tree, kind):
-    if any(d != 1 for d in tree.strategic_dim.values()):
-        raise PolicyError(
-            f"{kind} requires one strategic decision per node; apply split_multidim "
-            "first or use a CP-family formulation in vector mode"
-        )
-
-
-def _fresh(tree, name):
-    model = ModelIR(name)
-    add_strategic_block(model, tree)
-    xblock, coord_lists = strategic_block_of(model, tree)
-    return model, xblock, coord_lists
-
-
-def build_cp(tree: ScenarioTree, K: int, vector_mode=False) -> ModelIR:
-    """Complete plan formulation (x, pi, r) as a standalone model."""
-    if not vector_mode:
-        _require_dim1(tree, CP)
-    model, xblock, coord_lists = _fresh(tree, f"cp_K{K}")
-    add_cp_rows(model, tree, K, xblock, coord_lists, reduced=False)
-    return model
-
-
-def build_cp_plus(tree: ScenarioTree, K: int, vector_mode=False) -> ModelIR:
-    """CP with only-child plan and revision variables eliminated."""
-    if not vector_mode:
-        _require_dim1(tree, CP_PLUS)
-    model, xblock, coord_lists = _fresh(tree, f"cp+_K{K}")
-    add_cp_rows(model, tree, K, xblock, coord_lists, reduced=True)
-    return model
-
-
-def build_stdp(tree: ScenarioTree, K: int) -> ModelIR:
-    _require_dim1(tree, STDP)
-    model, xblock, _ = _fresh(tree, f"stdp_K{K}")
-    add_stdp_rows(model, tree, K, _dim1_xv(tree, xblock))
-    return model
-
-
-def build_cp_pp(tree: ScenarioTree, K: int) -> ModelIR:
+def add_cp_pp_rows(model: ModelIR, tree: ScenarioTree, K: int, xblock, coord_lists, prefix=""):
     """CP+ rows plus STDP rows plus the Delta-linked facet family."""
-    _require_dim1(tree, CP_PLUS_PLUS)
-    model, xblock, coord_lists = _fresh(tree, f"cp++_K{K}")
-    xv = _dim1_xv(tree, xblock)
-    _, r = add_cp_rows(model, tree, K, xblock, coord_lists, reduced=True)
-    delta = add_stdp_rows(model, tree, K, xv)
-    add_facet_rows(model, tree, K, r, delta, skip=only_child_nodes(tree))
-    return model
+    _, r = add_cp_rows(model, tree, K, xblock, coord_lists, prefix, reduced=True)
+    delta = add_stdp_rows(model, tree, K, xblock, coord_lists, prefix)
+    add_facet_rows(model, tree, K, r, delta, only_child_nodes(tree), prefix)
 
 
-def build_path(tree: ScenarioTree, K: int) -> ModelIR:
-    _require_dim1(tree, PATH)
-    model, xblock, _ = _fresh(tree, f"path_K{K}")
-    add_path_rows(model, tree, K, _dim1_xv(tree, xblock))
-    return model
+def add_st_rows(model: ModelIR, tree: ScenarioTree, K: int, xblock, coord_lists, prefix=""):
+    """Every oriented subtree cut materialized (small trees only)."""
+    for cut in all_subtree_cuts(tree, K):
+        model.add_constraint(prefix + cut.name, cut.bind(lambda fam, node: xblock[node][None]),
+                             cut.sense, cut.rhs)
 
 
-def build_st(tree: ScenarioTree, K: int, orientation_cap=200000) -> ModelIR:
-    """Subtree formulation with every oriented cut materialized (small trees)."""
-    _require_dim1(tree, ST)
-    model, xblock, _ = _fresh(tree, f"st_K{K}")
-    xv = _dim1_xv(tree, xblock)
-    for cut in all_subtree_cuts(tree, K, orientation_cap=orientation_cap):
-        model.add_constraint(cut.name, cut.bind(lambda fam, node: xv[node]), cut.sense, cut.rhs)
-    return model
+# kind -> rows_fn(model, tree, K, xblock, coord_lists, prefix)
+_ROWS = {
+    CP: partial(add_cp_rows, reduced=False),
+    CP_PLUS: partial(add_cp_rows, reduced=True),
+    CP_PLUS_PLUS: add_cp_pp_rows,
+    ST: add_st_rows,
+    STDP: add_stdp_rows,
+    PATH: add_path_rows,
+}
+FORMULATION_KINDS = tuple(_ROWS)
 
 
-def build(kind, tree, K, vector_mode=False) -> ModelIR:
-    spec = RevisionFormulationSpec(kind, K, vector_mode)
-    if spec.kind == CP:
-        return build_cp(tree, K, vector_mode)
-    if spec.kind == CP_PLUS:
-        return build_cp_plus(tree, K, vector_mode)
-    if spec.kind == CP_PLUS_PLUS:
-        return build_cp_pp(tree, K)
-    if spec.kind == STDP:
-        return build_stdp(tree, K)
-    if spec.kind == PATH:
-        return build_path(tree, K)
-    return build_st(tree, K)
+def _checked_block(model: ModelIR, tree: ScenarioTree, vector_mode=False):
+    """The model's tagged x block; a vector-valued one needs vector_mode."""
+    xblock, coord_lists = strategic_block_of(model, tree)
+    if not vector_mode and any(coords != [None] for coords in coord_lists.values()):
+        raise PolicyError(
+            "strategic block is vector-valued; apply split_multidim first or use a "
+            "CP-family formulation in vector mode"
+        )
+    return xblock, coord_lists
 
 
 def add_revision_rows(model: ModelIR, tree: ScenarioTree, spec: RevisionFormulationSpec,
                       prefix="rev:"):
     """Graft the chosen revision formulation onto a model's tagged x block."""
-    xblock, coord_lists = strategic_block_of(model, tree)
-    dim1 = all(coord_lists[t] == [None] for t in coord_lists)
-    if spec.kind in (CP, CP_PLUS):
-        if not dim1 and not spec.vector_mode:
-            raise PolicyError(
-                "strategic block is vector-valued; pass vector_mode=True or split stages"
-            )
-        add_cp_rows(model, tree, spec.K, xblock, coord_lists,
-                    reduced=(spec.kind == CP_PLUS), prefix=prefix)
-        return model
-    if not dim1:
-        raise PolicyError(
-            f"{spec.kind} needs a one-dimensional strategic block; apply split_multidim "
-            "or use a CP-family formulation in vector mode"
-        )
-    xv = {v: xblock[v][None] for v in range(tree.node_count)}
-    if spec.kind == STDP:
-        add_stdp_rows(model, tree, spec.K, xv, prefix=prefix)
-    elif spec.kind == CP_PLUS_PLUS:
-        _, r = add_cp_rows(model, tree, spec.K, xblock, coord_lists, reduced=True, prefix=prefix)
-        delta = add_stdp_rows(model, tree, spec.K, xv, prefix=prefix)
-        add_facet_rows(model, tree, spec.K, r, delta, skip=only_child_nodes(tree), prefix=prefix)
-    elif spec.kind == PATH:
-        add_path_rows(model, tree, spec.K, xv, prefix=prefix)
-    elif spec.kind == ST:
-        for cut in all_subtree_cuts(tree, spec.K):
-            model.add_constraint(prefix + cut.name, cut.bind(lambda fam, node: xv[node]),
-                                 cut.sense, cut.rhs)
-    else:
-        raise PolicyError(f"unhandled kind {spec.kind}")
+    xblock, coord_lists = _checked_block(model, tree, spec.vector_mode)
+    _ROWS[spec.kind](model, tree, spec.K, xblock, coord_lists, prefix)
     return model
+
+
+def build(kind, tree, K, vector_mode=False) -> ModelIR:
+    """A standalone model: a fresh strategic block plus the kind's revision rows."""
+    spec = RevisionFormulationSpec(kind, K, vector_mode)
+    model = ModelIR(f"{kind}_K{K}")
+    add_strategic_block(model, tree)
+    return add_revision_rows(model, tree, spec, prefix="")
+
+
+build_cp = partial(build, CP)
+build_cp_plus = partial(build, CP_PLUS)
+build_cp_pp = partial(build, CP_PLUS_PLUS)
+build_st = partial(build, ST)
+build_stdp = partial(build, STDP)
+build_path = partial(build, PATH)
 
 
 # -- iterative subtree cut loop ----------------------------------------------------
@@ -549,17 +481,14 @@ def cut_loop_st(tree: ScenarioTree, K: int, base: ModelIR, solve=None, mode="lp"
     violation remains.  The base model must tag its x block and is extended
     in place.
     """
-    from .solver import solve_lp, solve_mip  # local import to avoid a cycle
+    from .solver import default_solver, solve_lp  # local import to avoid a cycle
 
     if mode not in ("lp", "mip"):
         raise PolicyError(f"mode must be 'lp' or 'mip', got {mode!r}")
-    xblock, coord_lists = strategic_block_of(base, tree)
-    if any(coord_lists[t] != [None] for t in coord_lists):
-        raise PolicyError("cut_loop_st needs a one-dimensional strategic block")
-    xv = {v: xblock[v][None] for v in range(tree.node_count)}
-    names = {v: base.variables[xv[v]].name for v in xv}
+    xblock, _ = _checked_block(base, tree)
+    names = {v: base.variables[xblock[v][None]].name for v in xblock}
     if solve is None:
-        solve = solve_lp if mode == "lp" else solve_mip
+        solve = solve_lp if mode == "lp" else default_solver
     bound = 2 ** (K + 1) - 2
     cuts = 0
     last = None
@@ -584,7 +513,8 @@ def cut_loop_st(tree: ScenarioTree, K: int, base: ModelIR, solve=None, mode="lp"
             witness = witness.truncate(K + 1)
         cuts += 1
         cut = subtree_constraint_of(witness, name=f"stcut:{cuts}")
-        base.add_constraint(cut.name, cut.bind(lambda fam, node: xv[node]), cut.sense, cut.rhs)
+        base.add_constraint(cut.name, cut.bind(lambda fam, node: xblock[node][None]), cut.sense,
+                            cut.rhs)
     raise CutLoopNonconvergence(
         f"no convergence in {max_rounds} rounds",
         best_value=last.objective if last else None, rounds=max_rounds, cuts_added=cuts,
@@ -629,7 +559,8 @@ def add_partially_adaptive_rows(model: ModelIR, tree: ScenarioTree, stages, pref
 
 def partially_adaptive(tree: ScenarioTree, stages) -> ModelIR:
     """Model fragment with x variables equated per partially adaptive group."""
-    model, _, _ = _fresh(tree, "partially_adaptive")
+    model = ModelIR("partially_adaptive")
+    add_strategic_block(model, tree)
     return add_partially_adaptive_rows(model, tree, stages)
 
 

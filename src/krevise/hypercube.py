@@ -300,12 +300,6 @@ def instance_from_dict(data: dict) -> HypercubeInstance:
     return HypercubeInstance(tree, c)
 
 
-def save_instance(inst: HypercubeInstance, path):
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1)
-        fh.write("\n")
-
-
 def load_instance(path) -> HypercubeInstance:
     with open(path) as fh:
         return instance_from_dict(json.load(fh))

@@ -102,9 +102,6 @@ class ModelIR:
         self.objective = [(idx, float(c)) for idx, c in terms]
         self.objective_constant = float(constant)
 
-    def add_objective_term(self, idx, coef):
-        self.objective.append((idx, float(coef)))
-
     # -- queries -------------------------------------------------------------
 
     def index_of(self, name) -> int:

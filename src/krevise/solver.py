@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import tempfile
 import time
@@ -301,7 +302,6 @@ class MipOptions:
     int_tol: float = _INT_TOL
     gap_abs: float = 1e-6
     lp_iteration_cap: int = 50000
-    soft_integer_cap: int = 30  # informational; larger models are allowed but slow
 
 
 def solve_mip(model: ModelIR, options: MipOptions = None) -> SolveResult:
@@ -477,44 +477,42 @@ def external_solve(model: ModelIR, solver_cmd=None, keep_artifacts=False, timeou
             "with {mps} and {sol} placeholders"
         )
     tmpdir = tempfile.mkdtemp(prefix="krevise_")
-    mps_path = os.path.join(tmpdir, "model.mps")
-    sol_path = os.path.join(tmpdir, "model.sol")
-    with open(mps_path, "w") as fh:
-        fh.write(write_mps(model))
-    argv = [a.replace("{mps}", mps_path).replace("{sol}", sol_path) for a in shlex.split(cmd)]
-    t0 = time.perf_counter()
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-    except FileNotFoundError as exc:
-        raise SolverSpawnError(
-            f"cannot launch external solver {argv[0]!r}: {exc}; check that the binary is on PATH"
-        ) from exc
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise SolverExitError(
-            f"external solver exited with code {proc.returncode}; stderr: {proc.stderr[-500:]}"
-        )
-    if not os.path.exists(sol_path):
-        raise SolutionParseError(f"external solver produced no solution file at {sol_path}")
-    with open(sol_path) as fh:
-        assignment, reported = parse_solution_file(fh.read())
-    full = {v.name: assignment.get(v.name, 0.0) for v in model.variables}
-    obj, violations = evaluate(model, full, tol=verify_tol)
-    if violations:
-        worst = max(violations, key=lambda kv: kv[1])
-        raise SolutionVerificationError(
-            f"external solution violates {len(violations)} rows; worst {worst[0]} by {worst[1]:.3g}"
-        )
-    if not keep_artifacts:
-        for p in (mps_path, sol_path):
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
+        mps_path = os.path.join(tmpdir, "model.mps")
+        sol_path = os.path.join(tmpdir, "model.sol")
+        with open(mps_path, "w") as fh:
+            fh.write(write_mps(model))
+        argv = [a.replace("{mps}", mps_path).replace("{sol}", sol_path) for a in shlex.split(cmd)]
+        t0 = time.perf_counter()
         try:
-            os.rmdir(tmpdir)
-        except OSError:
-            pass
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+        except FileNotFoundError as exc:
+            raise SolverSpawnError(
+                f"cannot launch external solver {argv[0]!r}: {exc}; "
+                "check that the binary is on PATH"
+            ) from exc
+        except subprocess.TimeoutExpired as exc:
+            raise SolverExitError(f"external solver timed out after {timeout} s") from exc
+        wall = time.perf_counter() - t0
+        if proc.returncode != 0:
+            raise SolverExitError(
+                f"external solver exited with code {proc.returncode}; stderr: {proc.stderr[-500:]}"
+            )
+        if not os.path.exists(sol_path):
+            raise SolutionParseError(f"external solver produced no solution file at {sol_path}")
+        with open(sol_path) as fh:
+            assignment, reported = parse_solution_file(fh.read())
+        full = {v.name: assignment.get(v.name, 0.0) for v in model.variables}
+        obj, violations = evaluate(model, full, tol=verify_tol)
+        if violations:
+            worst = max(violations, key=lambda kv: kv[1])
+            raise SolutionVerificationError(
+                f"external solution violates {len(violations)} rows; "
+                f"worst {worst[0]} by {worst[1]:.3g}"
+            )
+    finally:
+        if not keep_artifacts:
+            shutil.rmtree(tmpdir, ignore_errors=True)
     bound = reported if reported is not None else obj
     return SolveResult(OPTIMAL, obj, full, bound, 0, 0, wall)
 

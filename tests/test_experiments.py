@@ -264,21 +264,29 @@ def test_experiment_uses_external_solver_when_configured(tmp_path, monkeypatch):
     import textwrap
 
     script = tmp_path / "bridge.py"
-    script.write_text(textwrap.dedent("""
+    calls = tmp_path / "calls.log"
+    script.write_text(textwrap.dedent(f"""
         import sys
         from krevise.model import parse_mps
         from krevise.solver import solve_mip, solve_lp
         model = parse_mps(open(sys.argv[1]).read())
+        # the ST cell's model carries only subtree cuts; CP+ cells carry rev: rows
+        st = all(c.name.startswith("stcut") for c in model.constraints)
+        with open({str(calls)!r}, "a") as log:
+            log.write("st\\n" if st else "rev\\n")
         res = solve_mip(model) if model.integer_indices() else solve_lp(model)
         with open(sys.argv[2], "w") as fh:
-            fh.write(f"# Objective value = {res.objective}\\n")
+            fh.write(f"# Objective value = {{res.objective}}\\n")
             for name, val in res.assignment.items():
-                fh.write(f"{name} {val:.12g}\\n")
+                fh.write(f"{{name}} {{val:.12g}}\\n")
     """))
-    baseline = run_experiment(tiny_spec(seeds=(0,), formulations=(CP_PLUS,)))
+    baseline = run_experiment(tiny_spec(seeds=(0,), formulations=(CP_PLUS, ST)))
     monkeypatch.setenv("KREVISE_SOLVER_CMD", f"{sys.executable} {script} {{mps}} {{sol}}")
-    routed = run_experiment(tiny_spec(seeds=(0,), formulations=(CP_PLUS,)))
-    assert routed.rows[0]["status"] == "optimal"
-    assert routed.rows[0]["obj_ip"] == pytest.approx(baseline.rows[0]["obj_ip"])
-    assert routed.rows[0]["obj_lp"] == pytest.approx(baseline.rows[0]["obj_lp"])
+    routed = run_experiment(tiny_spec(seeds=(0,), formulations=(CP_PLUS, ST)))
+    assert [row["formulation"] for row in routed.rows] == [CP_PLUS, ST]
+    for got, want in zip(routed.rows, baseline.rows):
+        assert got["status"] == "optimal"
+        assert got["obj_ip"] == pytest.approx(want["obj_ip"])
+        assert got["obj_lp"] == pytest.approx(want["obj_lp"])
     assert routed.rows[0]["bb_nodes"] == 0  # external node counts are not reported
+    assert "st" in calls.read_text().split()  # the ST cell's cut loop reached the bridge

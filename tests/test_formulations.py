@@ -16,6 +16,7 @@ from krevise.formulations import (
     PATH,
     ST,
     STDP,
+    FORMULATION_KINDS,
     CutLoopNonconvergence,
     RevisionFormulationSpec,
     add_revision_rows,
@@ -250,11 +251,16 @@ def test_vector_mode_cp_matches_split_solution():
 
 def test_vector_mode_required_for_st_family():
     inst = random_instance(ScenarioTree([None, 0, 0], strategic_dim={2: 2}), seed=1)
-    model = hypercube_base_model(inst)
-    with pytest.raises(PolicyError):
-        add_revision_rows(model, inst.tree, RevisionFormulationSpec(STDP, 1))
-    with pytest.raises(PolicyError):
-        RevisionFormulationSpec(STDP, 1, vector_mode=True)
+    for kind in FORMULATION_KINDS:
+        with pytest.raises(PolicyError):
+            build(kind, inst.tree, 1)
+        with pytest.raises(PolicyError):
+            add_revision_rows(hypercube_base_model(inst), inst.tree, RevisionFormulationSpec(kind, 1))
+        if kind in (CP, CP_PLUS):
+            assert build(kind, inst.tree, 1, vector_mode=True).constraints
+        else:
+            with pytest.raises(PolicyError):
+                RevisionFormulationSpec(kind, 1, vector_mode=True)
 
 
 def test_cut_loop_lp_tall_tree_bound():

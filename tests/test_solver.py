@@ -1,6 +1,7 @@
 import os
 import stat
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
@@ -223,21 +224,40 @@ def test_external_solve_roundtrip(tmp_path):
     assert abs(res.objective - embedded.objective) < 1e-9
 
 
-def test_external_solve_missing_binary():
+def _no_leftover_dirs(tmp_path):
+    return not list(tmp_path.glob("krevise_*"))
+
+
+def test_external_solve_missing_binary(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     m = ModelIR()
     m.add_var("a", BINARY)
     with pytest.raises(SolverSpawnError):
         external_solve(m, solver_cmd="/definitely/not/here {mps} {sol}")
+    assert _no_leftover_dirs(tmp_path)
 
 
-def test_external_solve_nonzero_exit(tmp_path):
+def test_external_solve_nonzero_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     m = ModelIR()
     m.add_var("a", BINARY)
     with pytest.raises(SolverExitError):
         external_solve(m, solver_cmd=f"{sys.executable} -c 'import sys; sys.exit(4)' {{mps}} {{sol}}")
+    assert _no_leftover_dirs(tmp_path)
 
 
-def test_external_solve_verification_failure(tmp_path):
+def test_external_solve_timeout(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    m = ModelIR()
+    m.add_var("a", BINARY)
+    cmd = f"{sys.executable} -c 'import time; time.sleep(30)' {{mps}} {{sol}}"
+    with pytest.raises(SolverExitError, match="timed out"):
+        external_solve(m, solver_cmd=cmd, timeout=0.5)
+    assert _no_leftover_dirs(tmp_path)
+
+
+def test_external_solve_verification_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     lying = tmp_path / "liar.py"
     lying.write_text("import sys\nopen(sys.argv[2], 'w').write('a 5\\n')\n")
     m = ModelIR()
@@ -245,6 +265,7 @@ def test_external_solve_verification_failure(tmp_path):
     m.add_constraint("c", [(0, 1.0)], "<=", 1)
     with pytest.raises(SolutionVerificationError):
         external_solve(m, solver_cmd=f"{sys.executable} {lying} {{mps}} {{sol}}")
+    assert _no_leftover_dirs(tmp_path)
 
 
 def test_default_solver_env_flow(tmp_path, monkeypatch):
