@@ -1,10 +1,17 @@
 """Embedded LP/MIP solving plus a subprocess bridge to external solvers.
 
-The LP engine is a dense two-phase primal simplex with general variable
-bounds: Dantzig pricing with a Bland fallback against cycling, explicit
-basis-inverse updates with periodic refactorization.  It always returns a
+The LP engine is a dense bounded-variable simplex that always returns a
 basic (vertex) solution, which is what the LP-integrality checks rely on.
-The MIP engine is best-first branch and bound on top of it.  Neither aims
+A cold solve is the two-phase primal simplex from a slack crash basis
+(Bixby 1992): a row's slack starts basic wherever its bounds hold the row's
+initial residual, and only the remaining rows get an artificial.  Pricing
+is Dantzig's with a Bland fallback against cycling; the basis inverse is
+updated explicitly and refactorized periodically; both ratio tests refuse
+pivots below 1e-9.  A re-solve after a bound change starts from the
+previous optimal basis and runs the bounded dual simplex (Koberstein 2005),
+falling back to a cold solve when that basis is unusable.  The MIP engine
+is best-first branch and bound on top of it: it builds the LP arrays once
+and warm-starts each child from its parent's optimal basis.  Neither aims
 to compete with commercial solvers; they are deterministic and auditable
 at desk scale.  `external_solve` shells out to any solver reachable via a
 command template and verifies the returned solution against the model.
@@ -69,27 +76,38 @@ class SolveResult:
     iterations: int = 0
     nodes: int = 0
     wall_time: float = 0.0
+    basis: tuple = None  # an optimal LP's basis, for `WarmStart`
 
     def value(self, name):
         return self.assignment[name]
 
 
-# -- bounded-variable primal simplex ------------------------------------------
+# -- bounded-variable simplex -------------------------------------------------
+
+_PIV_TOL = 1e-9  # smallest pivot either ratio test accepts
+_ZERO_TOL = 1e-12  # a computed tableau entry this small is round-off
 
 
 class _Simplex:
-    """min c.x  s.t.  A x = b,  lo <= x <= hi  (dense, two-phase)."""
+    """min c.x  s.t.  A x = b,  lo <= x <= hi  (dense).
+
+    The last m columns of A are the row slacks (the identity), as
+    `_model_arrays` lays them out.  `solve` is the cold two-phase primal
+    simplex from a slack crash basis; `solve_warm` re-solves from a given
+    basis with the dual simplex.
+    """
 
     def __init__(self, A, b, c, lo, hi, iteration_cap=50000, refactor_every=150):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.c = np.asarray(c, dtype=float)
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.m, self.n = self.A.shape
+        self.A = A
+        self.b = b
+        self.c = c
+        self.lo = lo
+        self.hi = hi
+        self.m, self.n = A.shape
         self.iteration_cap = iteration_cap
         self.refactor_every = refactor_every
         self.iterations = 0
+        self.art_rows = np.zeros(0, dtype=int)
 
     def _refactor(self):
         B = self.A[:, self.basis]
@@ -102,40 +120,160 @@ class _Simplex:
         rhs = self.b - self.A @ self.x + self.A[:, self.basis] @ self.x[self.basis]
         return self.binv @ rhs
 
+    def basis_state(self):
+        """(basic columns, at-upper flags) over A's own columns, for `solve_warm`.
+
+        An artificial left basic (at zero) is replaced by its row's slack:
+        both are unit columns of that row, so the basis stays nonsingular.
+        """
+        n, m = self.n, self.m
+        basis = [j if j < n else n - m + int(self.art_rows[j - n]) for j in self.basis]
+        return basis, self.at_upper[:n].copy()
+
     def solve(self):
         m, n = self.m, self.n
-        A, b = self.A, self.b
-        # start nonbasic at the finite bound closest to zero (0 for free vars)
-        x = np.where(np.isfinite(self.lo), self.lo, 0.0)
-        use_hi = np.isfinite(self.hi) & (~np.isfinite(self.lo) | (np.abs(self.hi) < np.abs(self.lo)))
-        x[use_hi] = self.hi[use_hi]
-        x[~np.isfinite(x)] = 0.0
+        A, b, lo, hi = self.A, self.b, self.lo, self.hi
+        # start nonbasic at the finite bound closest to zero (0 for free vars);
+        # every slack's bounds hold 0
+        x = np.where(np.isfinite(lo), lo, 0.0)
+        use_hi = np.isfinite(hi) & (~np.isfinite(lo) | (np.abs(hi) < np.abs(lo)))
+        x[use_hi] = hi[use_hi]
         resid = b - A @ x
-        # one artificial per row carries the initial residual
-        art_sign = np.where(resid >= 0, 1.0, -1.0)
-        self.A = np.hstack([A, np.diag(art_sign)])
-        self.lo = np.concatenate([self.lo, np.zeros(m)])
-        self.hi = np.concatenate([self.hi, np.full(m, INF)])
-        self.x = np.concatenate([x, np.abs(resid)])
-        self.basis = list(range(n, n + m))
-        self.at_upper = np.zeros(n + m, dtype=bool)
-        fin_hi = np.isfinite(self.hi[:n])
-        self.at_upper[:n] = fin_hi & (self.x[:n] == self.hi[:n]) & (self.x[:n] != self.lo[:n])
-        self._refactor()
+        # slack crash basis: a row's slack starts basic when its bounds hold
+        # the row's residual; an artificial carries the residual of every
+        # other row (equalities off zero and violated inequalities)
+        slack = np.arange(n - m, n)
+        absorb = (lo[slack] <= resid) & (resid <= hi[slack])
+        x[slack[absorb]] = resid[absorb]
+        art_rows = np.nonzero(~absorb)[0]
+        k = art_rows.size
+        art = np.zeros((m, k))
+        art[art_rows, np.arange(k)] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
+        self.A = np.hstack([A, art])
+        self.lo = np.concatenate([lo, np.zeros(k)])
+        self.hi = np.concatenate([hi, np.full(k, INF)])
+        self.x = np.concatenate([x, np.abs(resid[art_rows])])
+        self.art_rows = art_rows
+        self.basis = slack.tolist()
+        for j, i in enumerate(art_rows):
+            self.basis[i] = n + j
+        self.at_upper = np.zeros(n + k, dtype=bool)
+        self.at_upper[:n] = np.isfinite(hi) & (x == hi) & (x != lo)
+        self.at_upper[self.basis] = False
+        # the crash basis is diagonal with entries +-1: its own inverse
+        self.binv = np.diag(self.A[np.arange(m), self.basis])
 
-        phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-        status = self._iterate(phase1)
-        if status == LIMIT:
-            return LIMIT
-        if float(phase1 @ self.x) > 1e-6:
-            return INFEASIBLE
-        # freeze artificials at zero so they cannot re-enter
-        self.x[n:] = np.minimum(self.x[n:], 0.0)
-        self.lo[n:] = 0.0
-        self.hi[n:] = 0.0
-        self.x[n:] = 0.0
-        phase2 = np.concatenate([self.c, np.zeros(m)])
-        return self._iterate(phase2)
+        if k:
+            phase1 = np.concatenate([np.zeros(n), np.ones(k)])
+            status = self._iterate(phase1)
+            if status == LIMIT:
+                return LIMIT
+            if float(phase1 @ self.x) > 1e-6:
+                return INFEASIBLE
+            # freeze artificials at zero so they cannot re-enter
+            self.lo[n:] = 0.0
+            self.hi[n:] = 0.0
+            self.x[n:] = 0.0
+        return self._iterate(np.concatenate([self.c, np.zeros(k)]))
+
+    def solve_warm(self, basis, at_upper):
+        """Bounded dual simplex from a dual-feasible basis, then a primal check.
+
+        Each nonbasic column sits at the bound its reduced cost favours; the
+        dual simplex then drives out the primal infeasibility a bound change
+        left (Koberstein 2005, textbook ratio test with Harris's tolerance).
+        Returns OPTIMAL or INFEASIBLE, or None when the basis is singular or
+        not dual feasible, or the iteration cap is hit: the caller then
+        solves cold.
+        """
+        A, c, lo, hi = self.A, self.c, self.lo, self.hi
+        self.basis = list(basis)
+        try:
+            self._refactor()
+        except SimplexNumericalError:
+            return None
+        basic = np.zeros(self.n, dtype=bool)
+        basic[self.basis] = True
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        free = ~fin_lo & ~fin_hi
+        movable = ~basic & (lo != hi)
+        d = c - (c[self.basis] @ self.binv) @ A
+        up = at_upper.copy()
+        boxed = fin_lo & fin_hi
+        up[boxed & (d < -_OPT_TOL)] = True
+        up[boxed & (d > _OPT_TOL)] = False
+        up[~fin_lo] = fin_hi[~fin_lo]
+        up[fin_lo & ~fin_hi] = False
+        up[basic] = False
+        wrong = np.where(up, d > _OPT_TOL, d < -_OPT_TOL) | (free & (np.abs(d) > _OPT_TOL))
+        if np.any(movable & wrong):
+            return None
+        self.x = np.where(up, hi, np.where(fin_lo, lo, 0.0))
+        self.x[self.basis] = 0.0
+        self.x[self.basis] = self._basic_values()
+        basis_idx = np.asarray(self.basis)
+        while True:
+            xb = self.x[basis_idx]
+            lob, hib = lo[basis_idx], hi[basis_idx]
+            viol = np.maximum(lob - xb, xb - hib)
+            r = int(np.argmax(viol))
+            if viol[r] <= _FEAS_TOL:
+                break
+            if self.iterations >= self.iteration_cap:
+                return None
+            self.iterations += 1
+            # x_B[r] leaves to the bound it violates; a nonbasic column may
+            # enter if moving it off its bound pushes x_B[r] back toward it
+            to_upper = xb[r] > hib[r]
+            alpha = self.binv[r] @ A
+            sa = alpha if to_upper else -alpha
+            may_rise, may_fall = movable & (~up | free), movable & (up | free)
+            cand = (may_rise & (sa > _PIV_TOL)) | (may_fall & (sa < -_PIV_TOL))
+            if not cand.any():
+                # only pivots below tolerance are left: infeasible unless
+                # moving all of them fully could still reach the bound
+                tiny = (may_rise & (sa > _ZERO_TOL)) | (may_fall & (sa < -_ZERO_TOL))
+                with np.errstate(invalid="ignore"):
+                    reach = np.sum(np.abs(alpha[tiny]) * (hi[tiny] - lo[tiny]))
+                return None if reach >= viol[r] - _FEAS_TOL else INFEASIBLE
+            # each candidate's reduced cost may shrink to zero, no further
+            room = np.where(free, 0.0, np.maximum(np.where(up, -d, d), 0.0))
+            abs_a = np.where(cand, np.abs(alpha), 1.0)
+            ratio = np.where(cand, room / abs_a, INF)
+            # Harris: the largest pivot among ratios within the relaxed minimum
+            relaxed = np.min(np.where(cand, (room + _OPT_TOL) / abs_a, INF))
+            q = int(np.argmax(np.where(cand & (ratio <= relaxed), abs_a, -1.0)))
+            theta = ratio[q] if to_upper else -ratio[q]
+            w = self.binv @ A[:, q]
+            target = hib[r] if to_upper else lob[r]
+            step = (xb[r] - target) / w[r]
+            out = int(basis_idx[r])
+            self.x[q] += step
+            self.x[basis_idx] -= step * w
+            self.x[out] = target
+            d -= theta * alpha
+            d[q] = 0.0
+            up[out], up[q] = to_upper, False
+            basic[out], basic[q] = False, True
+            movable[out], movable[q] = lo[out] != hi[out], False
+            basis_idx[r] = q
+            row = self.binv[r, :] / w[r]
+            self.binv -= np.outer(w, row)
+            self.binv[r, :] = row
+            if self.iterations % self.refactor_every == 0:
+                self.basis = basis_idx.tolist()
+                try:
+                    self._refactor()
+                except SimplexNumericalError:
+                    return None
+                self.x[basis_idx] = self._basic_values()
+                d = c - (c[basis_idx] @ self.binv) @ A
+        self.basis = basis_idx.tolist()
+        self.at_upper = up
+        # the primal pass confirms optimality on fresh reduced costs and
+        # mends any dual infeasibility the Harris tolerance let through
+        status = self._iterate(c)
+        return status if status == OPTIMAL else None
 
     def _iterate(self, cost):
         n_total = self.A.shape[1]
@@ -174,14 +312,15 @@ class _Simplex:
             else:
                 direction = -1.0 if self.at_upper[enter] else 1.0
             w = self.binv @ self.A[:, enter]
-            # largest step before a basic variable or the entering bound blocks
+            # largest step before a basic variable or the entering bound
+            # blocks; rows whose rate is below the pivot tolerance never block
             if m:
                 basic_idx = np.asarray(self.basis)
                 rate = -direction * w
                 xb = self.x[basic_idx]
                 room = np.full(m, INF)
-                pos = rate > 1e-11
-                neg = rate < -1e-11
+                pos = rate > _PIV_TOL
+                neg = rate < -_PIV_TOL
                 with np.errstate(invalid="ignore"):
                     room[pos] = (self.hi[basic_idx[pos]] - xb[pos]) / rate[pos]
                     room[neg] = (self.lo[basic_idx[neg]] - xb[neg]) / rate[neg]
@@ -216,30 +355,27 @@ class _Simplex:
             self.at_upper[out] = leave_to_upper
             self.at_upper[enter] = False
             self.basis[leave] = enter
-            piv = w[leave]
-            if abs(piv) < 1e-10:
-                self._refactor()
-            else:
-                row = self.binv[leave, :] / piv
-                self.binv -= np.outer(w, row)
-                self.binv[leave, :] = row
+            row = self.binv[leave, :] / w[leave]
+            self.binv -= np.outer(w, row)
+            self.binv[leave, :] = row
             stall = stall + 1 if min_room < 1e-11 else 0
 
 
-def _model_arrays(model: ModelIR, bound_patch=None):
+def _model_arrays(model: ModelIR, var_cap=5000):
+    """(A, b, c, lo, hi, sign) of `min c.x, A x = b, lo <= x <= hi`, one slack per row.
+
+    Built once per model: a branch-and-bound child patches copies of lo/hi.
+    """
     n = len(model.variables)
+    if n > var_cap:
+        raise SolverError(f"embedded LP guarded to {var_cap} variables")
     m = len(model.constraints)
     lo = np.array([v.lower for v in model.variables], dtype=float)
     hi = np.array([v.upper for v in model.variables], dtype=float)
-    if bound_patch:
-        for idx, (L, U) in bound_patch.items():
-            lo[idx] = max(lo[idx], L)
-            hi[idx] = min(hi[idx], U)
-    nslack = m
-    A = np.zeros((m, n + nslack))
+    A = np.zeros((m, n + m))
     b = np.zeros(m)
-    slo = np.zeros(nslack)
-    shi = np.zeros(nslack)
+    slo = np.zeros(m)
+    shi = np.zeros(m)
     for i, con in enumerate(model.constraints):
         for idx, coef in con.terms:
             A[i, idx] += coef
@@ -251,40 +387,69 @@ def _model_arrays(model: ModelIR, bound_patch=None):
             slo[i], shi[i] = -INF, 0.0
         else:
             slo[i], shi[i] = 0.0, 0.0
-    c = np.zeros(n + nslack)
+    c = np.zeros(n + m)
     for idx, coef in model.objective:
         c[idx] += coef
     sign = -1.0 if model.objective_sense == MAX else 1.0
     return A, b, sign * c, np.concatenate([lo, slo]), np.concatenate([hi, shi]), sign
 
 
-def solve_lp(model: ModelIR, iteration_cap=50000, bound_patch=None, var_cap=5000) -> SolveResult:
-    """Solve the LP relaxation with the embedded simplex (vertex solution)."""
-    if len(model.variables) > var_cap:
-        raise SolverError(f"embedded LP guarded to {var_cap} variables")
+@dataclass
+class WarmStart:
+    """A model's solver arrays (`_model_arrays`) and a basis to re-solve from.
+
+    With `basis` None the solve is cold; otherwise `basis` is a previous
+    optimum's `SolveResult.basis` on the same arrays.
+    """
+
+    arrays: tuple
+    basis: tuple = None
+
+
+def solve_lp(model: ModelIR, iteration_cap=50000, bound_patch=None, var_cap=5000,
+             warm_start: WarmStart = None) -> SolveResult:
+    """Solve the LP relaxation with the embedded simplex (vertex solution).
+
+    `bound_patch` maps variable indices to (lower, upper) bounds intersected
+    with the model's.  `warm_start` reuses arrays built once for the model
+    and, when it carries a basis, re-solves from it with the dual simplex;
+    if that fails (singular basis, iteration cap) the solve restarts cold.
+    """
     t0 = time.perf_counter()
+    arrays = warm_start.arrays if warm_start is not None else _model_arrays(model, var_cap)
     if any(v.lower > v.upper for v in model.variables) or (
         bound_patch and any(L > U + 1e-12 for L, U in bound_patch.values())
     ):
         return SolveResult(INFEASIBLE, math.nan, {}, _infeasible_bound(model), 0, 0, 0.0)
-    A, b, c, lo, hi, sign = _model_arrays(model, bound_patch)
+    A, b, c, lo, hi, _ = arrays
+    lo, hi = lo.copy(), hi.copy()
+    for idx, (L, U) in (bound_patch or {}).items():
+        lo[idx] = max(lo[idx], L)
+        hi[idx] = min(hi[idx], U)
     if np.any(lo > hi + 1e-12):
         return SolveResult(INFEASIBLE, math.nan, {}, _infeasible_bound(model), 0, 0, 0.0)
-    sx = _Simplex(A, b, c, lo, hi, iteration_cap=iteration_cap)
-    status = sx.solve()
+    status, iterations = None, 0
+    if warm_start is not None and warm_start.basis is not None:
+        sx = _Simplex(A, b, c, lo, hi, iteration_cap=iteration_cap)
+        status = sx.solve_warm(*warm_start.basis)
+        iterations = sx.iterations
+    if status is None:
+        sx = _Simplex(A, b, c, lo, hi, iteration_cap=iteration_cap)
+        status = sx.solve()
+        iterations += sx.iterations
     wall = time.perf_counter() - t0
     if status == OPTIMAL:
         nvars = len(model.variables)
         values = sx.x[:nvars]
         assignment = {v.name: float(values[i]) for i, v in enumerate(model.variables)}
         obj = model.objective_value(values)
-        return SolveResult(OPTIMAL, obj, assignment, obj, sx.iterations, 0, wall)
+        return SolveResult(OPTIMAL, obj, assignment, obj, iterations, 0, wall, sx.basis_state())
     if status == INFEASIBLE:
-        return SolveResult(INFEASIBLE, math.nan, {}, _infeasible_bound(model), sx.iterations, 0, wall)
+        return SolveResult(INFEASIBLE, math.nan, {}, _infeasible_bound(model), iterations, 0, wall)
     if status == UNBOUNDED:
         ub = INF if model.objective_sense == MAX else -INF
-        return SolveResult(UNBOUNDED, ub, {}, ub, sx.iterations, 0, wall)
-    return SolveResult(LIMIT, math.nan, {}, _loose_bound(model), sx.iterations, 0, wall)
+        return SolveResult(UNBOUNDED, ub, {}, ub, iterations, 0, wall)
+    return SolveResult(LIMIT, math.nan, {}, _loose_bound(model), iterations, 0, wall)
 
 
 def _loose_bound(model):
@@ -308,7 +473,11 @@ def solve_mip(model: ModelIR, options: MipOptions = None) -> SolveResult:
     """Best-first branch and bound over the embedded LP.
 
     Branches on the most fractional integer variable (ties to the lowest
-    index); optimal within gap_abs on the objective.  Deterministic.
+    index); optimal within gap_abs on the objective.  Deterministic.  The
+    LP arrays are built once; each child patches the branched bound and
+    re-solves from its parent's optimal basis.  An LP that hits its
+    iteration cap ends the search with status `limit` and the best open
+    bound.
     """
     opts = options or MipOptions()
     t0 = time.perf_counter()
@@ -318,23 +487,26 @@ def solve_mip(model: ModelIR, options: MipOptions = None) -> SolveResult:
     def better(a, b):
         return a > b if sense_max else a < b
 
-    root = solve_lp(model, iteration_cap=opts.lp_iteration_cap)
+    arrays = _model_arrays(model)
+    root = solve_lp(model, iteration_cap=opts.lp_iteration_cap, warm_start=WarmStart(arrays))
     iterations = root.iterations
     if root.status in (INFEASIBLE, UNBOUNDED):
         return SolveResult(root.status, root.objective, root.assignment, root.bound, iterations, 1,
                            time.perf_counter() - t0)
     if root.status == LIMIT:
-        raise SolverError("LP iteration cap hit at the root relaxation")
+        return SolveResult(LIMIT, math.nan, {}, _loose_bound(model), iterations, 1,
+                           time.perf_counter() - t0)
 
     incumbent = None
     inc_obj = -INF if sense_max else INF
     counter = 0
     heap = []
 
-    def push(bound, patch):
+    def push(res, patch, frac):
         nonlocal counter
-        key = -bound if sense_max else bound
-        heappush(heap, (key, counter, bound, patch))
+        key = -res.objective if sense_max else res.objective
+        heappush(heap, (key, counter, res.objective,
+                        (patch, frac, res.assignment[model.variables[frac].name], res.basis)))
         counter += 1
 
     def fractional(assignment):
@@ -348,7 +520,7 @@ def solve_mip(model: ModelIR, options: MipOptions = None) -> SolveResult:
                 worst_dist = dist
         return worst
 
-    def consider(result, patch):
+    def consider(result):
         nonlocal incumbent, inc_obj
         frac = fractional(result.assignment)
         if frac is None:
@@ -358,20 +530,21 @@ def solve_mip(model: ModelIR, options: MipOptions = None) -> SolveResult:
             return None
         return frac
 
-    frac = consider(root, {})
+    frac = consider(root)
     nodes = 1
     if frac is not None:
-        push(root.objective, ({}, frac, root.assignment[model.variables[frac].name]))
+        push(root, {}, frac)
 
     status = OPTIMAL
-    while heap:
+    while heap and status == OPTIMAL:
         if nodes >= opts.node_cap:
             status = LIMIT
             break
         if opts.time_limit is not None and time.perf_counter() - t0 > opts.time_limit:
             status = LIMIT
             break
-        key, _, bound, (patch, frac, val) = heappop(heap)
+        entry = heappop(heap)
+        _, _, bound, (patch, frac, val, basis) = entry
         if incumbent is not None and not better(bound, inc_obj + (opts.gap_abs if sense_max else -opts.gap_abs)):
             continue
         floor, ceil = math.floor(val + opts.int_tol), math.ceil(val - opts.int_tol)
@@ -381,18 +554,23 @@ def solve_mip(model: ModelIR, options: MipOptions = None) -> SolveResult:
             child = dict(patch)
             cur = child.get(frac, (-INF, INF))
             child[frac] = (max(cur[0], lo_b), min(cur[1], hi_b))
-            res = solve_lp(model, iteration_cap=opts.lp_iteration_cap, bound_patch=child)
+            res = solve_lp(model, iteration_cap=opts.lp_iteration_cap, bound_patch=child,
+                           warm_start=WarmStart(arrays, basis))
             iterations += res.iterations
             nodes += 1
             if res.status == INFEASIBLE:
                 continue
+            if res.status == LIMIT:
+                heappush(heap, entry)  # the unsolved child keeps its parent's bound open
+                status = LIMIT
+                break
             if res.status != OPTIMAL:
                 raise SolverError(f"unexpected LP status {res.status} inside branch and bound")
             if incumbent is not None and not better(res.objective, inc_obj):
                 continue
-            f2 = consider(res, child)
+            f2 = consider(res)
             if f2 is not None:
-                push(res.objective, (child, f2, res.assignment[model.variables[f2].name]))
+                push(res, child, f2)
 
     open_bounds = [entry[2] for entry in heap]
     if status == LIMIT:

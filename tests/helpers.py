@@ -31,10 +31,12 @@ def milp_arrays(model: ModelIR, fix=None):
     return integrality, lo, hi, cons
 
 
-def scipy_solve(model: ModelIR, objective_terms=None, sense=None):
-    """Exact MILP optimum via scipy/HiGHS; returns (status, value)."""
+def scipy_solve(model: ModelIR, objective_terms=None, sense=None, relax=False):
+    """Exact MILP (or, with relax, LP relaxation) optimum via scipy/HiGHS; returns (status, value)."""
     n = len(model.variables)
     integrality, lo, hi, cons = milp_arrays(model)
+    if relax:
+        integrality = np.zeros(n)
     c = np.zeros(n)
     for i, coef in objective_terms if objective_terms is not None else model.objective:
         c[i] += coef

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from krevise import solver
+from krevise.experiments import ExperimentSpec, _build_cell_model, _make_tree, run_experiment
+from krevise.formulations import (
+    CP,
+    CP_PLUS,
+    CP_PLUS_PLUS,
+    FORMULATION_KINDS,
+    RevisionFormulationSpec,
+    hypercube_base_model,
+)
+from krevise.hypercube import random_instance
 from krevise.model import BINARY, CONTINUOUS, INF, INTEGER, MAX, MIN, ModelIR, evaluate
+from krevise.problems import attach_revision
 from krevise.solver import (
     MipOptions,
     SolutionParseError,
@@ -20,6 +32,7 @@ from krevise.solver import (
     solve_lp,
     solve_mip,
 )
+from krevise.tree import generate_stree
 
 from helpers import scipy_solve
 
@@ -342,3 +355,174 @@ def test_lp_degenerate_with_free_variables_against_scipy():
             refval = ref.fun if sense == MIN else -ref.fun
             assert res.status == "optimal", (trial, res.status)
             assert abs(res.objective - refval) <= 1e-6 * (1 + abs(refval)), trial
+
+
+# -- crash basis, warm-started children, numerical regressions --------------------
+
+
+def _hypercube_model(tree, K, kind, seed):
+    model = hypercube_base_model(random_instance(tree, seed=seed))
+    attach_revision(model, tree, RevisionFormulationSpec(kind, K))
+    return model
+
+
+def _cell_model(cell, seed):
+    spec = ExperimentSpec.from_dict({**cell, "seeds": [seed]})
+    tree = None if spec.problem == "saghp" else _make_tree(spec, seed)
+    return _build_cell_model(spec, tree, seed, spec.K_values[0], spec.formulations[0])[1]
+
+
+def _warm_pairs(monkeypatch):
+    """Re-solve every warm-started LP cold; the returned list gets (warm, cold) pairs."""
+    pairs = []
+    plain = solver.solve_lp
+
+    def solve(model, *args, warm_start=None, **kwargs):
+        res = plain(model, *args, warm_start=warm_start, **kwargs)
+        if warm_start is not None and warm_start.basis is not None:
+            pairs.append((res, plain(model, *args, **kwargs)))
+        return res
+
+    monkeypatch.setattr(solver, "solve_lp", solve)
+    return pairs
+
+
+def _assert_pairs_agree(pairs):
+    for warm, cold in pairs:
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=1e-7)
+
+
+def test_cp_pp_lp_on_baseline_tree_matches_highs():
+    # a ratio test accepting 1e-11 pivots ran this LP into a singular basis
+    tree = generate_stree(40, 6, rho=0.5, seed=1)
+    model = _hypercube_model(tree, 1, CP_PLUS_PLUS, 1)
+    res = solve_lp(model)
+    _, ref = scipy_solve(model, relax=True)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(ref, abs=1e-6) and ref == pytest.approx(102.0)
+
+
+def test_lot_sizing_cp_pp_cell_matches_highs():
+    # this cell ended in a singular basis inside branch and bound
+    cell = {"problem": "lot_sizing", "tree_kind": "stree",
+            "tree_params": {"target_nodes": 12, "T": 4, "rho": 0.5, "tolerance": 0.1},
+            "formulations": [CP_PLUS_PLUS], "K_values": [1]}
+    row = run_experiment(ExperimentSpec.from_dict({**cell, "seeds": [2]})).rows[0]
+    _, ref = scipy_solve(_cell_model(cell, 2))
+    assert row["status"] == "optimal"
+    assert row["obj_ip"] == pytest.approx(ref, rel=1e-9) and ref == pytest.approx(217166.67, abs=0.01)
+
+
+@pytest.mark.parametrize("kind", FORMULATION_KINDS)
+def test_solve_lp_matches_highs_on_random_strees(kind):
+    for seed in range(3):
+        tree = generate_stree(14, 4, rho=0.5, seed=seed)
+        for K in (1, 2):
+            model = _hypercube_model(tree, K, kind, seed)
+            res = solve_lp(model)
+            _, ref = scipy_solve(model, relax=True)
+            assert res.status == "optimal", (seed, K)
+            assert res.objective == pytest.approx(ref, rel=1e-7, abs=1e-7), (seed, K)
+
+
+_LOT_TREE = {"target_nodes": 9, "T": 4, "rho": 0.35, "tolerance": 0.1}
+_CAP_PARAMS = {"n_tools": 2, "n_ops": 3, "n_products": 2, "base_demand": 10.0,
+               "tool_cap": 50.0, "tool_rate": 10.0}
+BASE_CELLS = [
+    *({"problem": "lot_sizing", "tree_kind": "stree", "tree_params": _LOT_TREE,
+       "formulations": [kind], "K_values": [K]} for kind in FORMULATION_KINDS for K in (1, 2)),
+    *({"problem": "capacity_planning", "tree_kind": "btree", "tree_params": {"T": 3},
+       "problem_params": _CAP_PARAMS, "formulations": [kind], "K_values": [K]}
+      for kind in (CP, CP_PLUS) for K in (1, 2)),
+    *({"problem": "saghp", "tree_params": {"T": 4}, "problem_params": {"n_flights": 3, "pattern": "VIV"},
+       "formulations": [kind], "K_values": [K], "seeds": [0]} for kind in (CP, CP_PLUS) for K in (1, 2)),
+]
+
+
+@pytest.mark.parametrize("cell", BASE_CELLS,
+                         ids=lambda c: f"{c['problem']}-{c['formulations'][0]}-K{c['K_values'][0]}")
+def test_solve_mip_matches_highs_on_base_problems(cell, monkeypatch):
+    pairs = _warm_pairs(monkeypatch)
+    for seed in (0, 1, 2):
+        model = _cell_model(cell, seed)
+        res = solve_mip(model)
+        _, ref = scipy_solve(model)
+        assert res.status == "optimal", seed
+        assert res.objective == pytest.approx(ref, rel=1e-7, abs=1e-7), seed
+    _assert_pairs_agree(pairs)
+
+
+def test_warm_children_match_cold_solves_on_random_mips(monkeypatch):
+    # general integers, free continuous columns (priced at zero, so the
+    # LP stays bounded) and equality rows
+    pairs = _warm_pairs(monkeypatch)
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n, mm = int(rng.integers(3, 9)), int(rng.integers(2, 7))
+        model = ModelIR("rmix")
+        cost = rng.integers(-5, 6, size=n).astype(float)
+        for j in range(n):
+            if rng.random() < 0.7:
+                model.add_var(f"v{j}", INTEGER, float(rng.integers(-2, 1)), float(rng.integers(1, 5)))
+            elif rng.random() < 0.4:
+                model.add_var(f"v{j}", CONTINUOUS, -INF, INF)
+                cost[j] = 0.0
+            else:
+                model.add_var(f"v{j}", CONTINUOUS, 0.0, 6.0)
+        for i in range(mm):
+            row = rng.integers(-4, 5, size=n).astype(float) + rng.random(n).round(2)
+            sense = rng.choice(["<=", ">=", "="], p=[0.5, 0.3, 0.2])
+            model.add_constraint(f"c{i}", [(j, row[j]) for j in range(n)], sense,
+                                 float(rng.integers(-3, 9)) + 0.5)
+        model.set_objective(MAX, [(j, cost[j]) for j in range(n)])
+        res = solve_mip(model)
+        status, val = scipy_solve(model)
+        assert res.status == status, trial
+        if status == "optimal":
+            assert res.objective == pytest.approx(val, abs=1e-6), trial
+    _assert_pairs_agree(pairs)
+    assert any(warm.status == "optimal" for warm, _ in pairs)
+    assert any(warm.status == "infeasible" for warm, _ in pairs)
+
+
+def _knapsack(n=14, seed=17):
+    rng = np.random.default_rng(seed)
+    c = rng.integers(1, 20, size=n).astype(float)
+    w = rng.integers(1, 20, size=n).astype(float)
+    m = ModelIR()
+    vs = [m.add_var(f"y{i}", BINARY) for i in range(n)]
+    m.add_constraint("cap", [(vs[i], w[i]) for i in range(n)], "<=", float(w.sum()) / 2)
+    m.set_objective(MAX, [(vs[i], c[i]) for i in range(n)])
+    return m
+
+
+def test_mip_lp_iteration_cap_returns_limit_with_bound():
+    m = _knapsack()
+    _, exact = scipy_solve(m)
+    res = solve_mip(m, MipOptions(lp_iteration_cap=1))
+    assert res.status == "limit" and res.bound >= exact
+    for cap in range(2, 40):
+        res = solve_mip(m, MipOptions(lp_iteration_cap=cap))
+        assert res.status in ("limit", "optimal"), cap
+        assert res.bound >= exact - 1e-6, cap
+        if res.status == "optimal":
+            assert res.objective == pytest.approx(exact), cap
+
+
+def test_mip_child_lp_at_iteration_cap_returns_limit_with_open_bound(monkeypatch):
+    m = _knapsack()
+    _, exact = scipy_solve(m)
+    root = solve_lp(m)
+    plain = solver.solve_lp
+
+    def capped_children(model, *args, bound_patch=None, **kwargs):
+        if bound_patch:
+            kwargs["iteration_cap"] = 1
+        return plain(model, *args, bound_patch=bound_patch, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_lp", capped_children)
+    res = solve_mip(m)
+    assert res.status == "limit" and res.nodes == 2
+    assert res.bound == pytest.approx(root.objective) and res.bound >= exact
