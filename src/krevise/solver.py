@@ -254,7 +254,6 @@ class _Simplex:
             d -= theta * alpha
             d[q] = 0.0
             up[out], up[q] = to_upper, False
-            basic[out], basic[q] = False, True
             movable[out], movable[q] = lo[out] != hi[out], False
             basis_idx[r] = q
             row = self.binv[r, :] / w[r]
